@@ -12,10 +12,13 @@ a C-level lexicographic pass, an order of magnitude cheaper than the
 sift, while the slotted :class:`Event` handle keeps O(1) lazy
 cancellation and the ``(time, seq)`` FIFO tie-break unchanged.
 
-Three bulk facilities keep the kernel cheap under heavy load:
+Four bulk facilities keep the kernel cheap under heavy load:
 
 * :meth:`Simulator.schedule_many` pushes a pre-sorted batch of events in
   one tight loop (used by the chunked background-load streams);
+* :meth:`Simulator.fire_schedule` walks a sorted launch schedule with
+  one heap event per run of launches that nothing else interleaves,
+  instead of one per launch instant;
 * cancelled husks are compacted away once they dominate the heap, so
   long campaigns that cancel many timers (probe timeouts, strategy
   resubmission timers) do not drag an ever-growing heap behind them;
@@ -167,6 +170,9 @@ class Simulator:
         self.pooled_granularity = _POOLED_GRANULARITY
         #: callbacks flushed before every run loop returns (lazy state)
         self._reconcilers: list[Callable[[], None]] = []
+        #: last instant the running loop may reach (``run_until``'s
+        #: ``t_end``); bounds how far :meth:`fire_schedule` walks inline
+        self._horizon = -math.inf
 
     @property
     def now(self) -> float:
@@ -291,6 +297,52 @@ class Simulator:
                 timer.callback = None  # break the timer→owner cycle now
                 callback()
 
+    # -- sorted schedules --------------------------------------------------
+
+    def fire_schedule(
+        self,
+        times: list[float],
+        items: list,
+        i: int,
+        fire: Callable[[object], None],
+        resume: Callable[[], None],
+    ) -> int:
+        """Walk a sorted schedule from cursor ``i`` inside one event.
+
+        Called by the event armed for ``times[i]`` (so ``times[i]`` is
+        now).  ``fire(items[k])`` runs for every entry at this instant,
+        back to back, and then for later entries too — the clock moved
+        to each — while the next instant is strictly earlier than the
+        heap top, within the running loop's horizon, and no
+        :meth:`stop` is pending.  That is exactly the entry the loop
+        would pop next (a queued event at an equal instant holds the
+        smaller sequence number and goes first), so walking inline
+        changes nothing but the number of dispatched events; events a
+        fired entry schedules are in the heap before the next check.
+        When the walk yields, ``resume`` is armed at the next entry's
+        instant.  Returns the cursor past the last fired entry.
+        """
+        n = len(times)
+        heap = self._heap
+        t = times[i]
+        while True:
+            fire(items[i])
+            i += 1
+            if i >= n:
+                return i
+            nt = times[i]
+            if nt != t:
+                if nt > self._horizon or self._stop_requested:
+                    break
+                while heap and heap[0][2].cancelled:
+                    heapq.heappop(heap)
+                    self._cancelled -= 1
+                if heap and heap[0][0] <= nt:
+                    break
+                self._now = t = nt
+        self.schedule_at(times[i], resume)
+        return i
+
     # -- husk compaction -----------------------------------------------------
 
     def _note_cancel(self) -> None:
@@ -352,6 +404,7 @@ class Simulator:
         if t_end < self._now:
             raise ValueError(f"t_end={t_end} is before now={self._now}")
         self._stop_requested = False
+        self._horizon = t_end
         heap = self._heap
         pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
@@ -380,6 +433,7 @@ class Simulator:
         """
         count = 0
         self._stop_requested = False
+        self._horizon = math.inf
         heap = self._heap
         while heap:
             time, _, ev = heapq.heappop(heap)

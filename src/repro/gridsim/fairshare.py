@@ -199,9 +199,10 @@ class _PerJobBatchOps:
     The plain engines implement :meth:`enqueue_many` /
     :meth:`cancel_many` as genuinely batched passes; the fair-share
     flavours keep per-VO bookkeeping inside ``enqueue``/``cancel``, so
-    their batch entry points stay simple loops — identical on both
-    flavours, which is what keeps the engine pair's client traces
-    comparable.
+    their batch entry points are simple loops.  The vector lane
+    overrides :meth:`enqueue_many` with a batched pass that must replay
+    this loop exactly (it is the loop again with ``block_commits``
+    off), which keeps the engine pair's client traces comparable.
     """
 
     def enqueue_many(self, jobs: Sequence[Job]) -> int:
@@ -560,6 +561,10 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         # engine's earlier-scheduled events would enforce)
         if now >= self._next_due:
             self._advance()
+        self._join(job, now)
+
+    def _join(self, job: Job, now: float) -> None:
+        """Queue a stamped, pre-walked job and commit what it unblocks."""
         vi = self.fairshare.index_of(job.vo)
         self._clq[vi].append(job)
         self._live_clients += 1
@@ -588,6 +593,130 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
             self._next_due = e
         if job.state is JobState.QUEUED:
             self._defer_wake()
+
+    def enqueue_many(self, jobs: Sequence[Job]) -> int:
+        """Accept a dispatch batch; the same floats as an ``enqueue`` loop.
+
+        Each job still joins in batch order with its own decision, but
+        the two common cases skip the per-job walk:
+
+        * every core is busy past now — the job is appended with the
+          O(1) head patch, and one wake re-aim covers the rest of the
+          batch;
+        * a core is free and no head is due — the job is the only
+          candidate, so it starts now (:meth:`_start_alone`).
+
+        Anything else — a due pre-walk, a black hole, a closed gate,
+        stale head rows, a competing head — takes the per-job path.
+        With :attr:`block_commits` off the batch is a plain ``enqueue``
+        loop, the oracle this method is pinned against.
+        """
+        if not self.block_commits:
+            return _PerJobBatchOps.enqueue_many(self, jobs)
+        now = self.sim._now
+        name = self.name
+        index_of = self.fairshare.index_of
+        clq = self._clq
+        heads = self._heads
+        cheads = self._cheads
+        QUEUED = JobState.QUEUED
+        MATCHING, CREATED = JobState.MATCHING, JobState.CREATED
+        INF = _INF
+        n = 0
+        # a busy-core join calls nothing out and moves neither the core
+        # heap nor the memo below now, so every later job of the batch
+        # joins the same way: their wake re-aims (all aimed at the same
+        # instant) collapse into one after the loop
+        wake = False
+        for job in jobs:
+            st = job.state
+            if st is not MATCHING and st is not CREATED:
+                continue
+            n += 1
+            if self.black_hole or not self.dispatch_enabled:
+                self.enqueue(job)
+                continue
+            job.state = QUEUED
+            job.site = name
+            job.queue_time = now
+            if now >= self._next_due:
+                self._advance()  # the pre-walk, as in ``enqueue``
+                if (
+                    job.state is not QUEUED
+                    or self.black_hole
+                    or not self.dispatch_enabled
+                ):
+                    self._join(job, now)
+                    continue
+            e = self._core_free[0]
+            if self._dispatch_floor > e:
+                e = self._dispatch_floor
+            vi = index_of(job.vo)
+            if e > now:
+                clq[vi].append(job)
+                self._live_clients += 1
+                if self._heads_mut == self._mut and cheads[vi] == INF:
+                    cheads[vi] = now
+                    if heads[vi] > now:
+                        heads[vi] = now
+                if e < self._next_due:
+                    self._next_due = e
+                wake = True
+            elif self._heads_mut == self._mut and min(heads) > now:
+                self._start_alone(job, vi, now)
+            else:
+                self._join(job, now)
+        if wake:
+            self._defer_wake()
+        return n
+
+    def _start_alone(self, job: Job, v: int, t: float) -> None:
+        """Start a newcomer that is the only candidate for a free core.
+
+        The walk ``_join`` would run: a core is free by ``t`` and every
+        head is later, so the decision instant is ``t`` and the
+        newcomer's VO (which had no live client) is the lone candidate.
+        Replays that walk's one commit — the VO's leading husks dropped,
+        the decay ladder, ``heapreplace`` and ``usage[v] += r`` — then
+        its continuation after the start callback: the exit memo, or a
+        full walk when the callback left work due.
+        """
+        ends = self._client_ends
+        if ends and ends[0][0] <= t:
+            self._drain_completions()
+        q = self._clq[v]
+        husks = self._vo_husks
+        while q:
+            q.popleft()
+            husks[v] -= 1
+        fs = self.fairshare
+        usage = fs._usage
+        last = fs._last
+        if t > last:
+            f = 0.5 ** ((t - last) / fs.halflife)
+            for k in range(len(usage)):
+                usage[k] *= f
+            fs._last = t
+        r = job.runtime
+        heapreplace(self._core_free, t + r)
+        usage[v] += r
+        self._started += 1
+        self._next_due = 0.0
+        self._start_client(job, t)
+        if not self.dispatch_enabled:
+            return  # end_outage resets the memo
+        if self._mut == self._heads_mut:
+            d = self._core_free[0]
+            if self._dispatch_floor > d:
+                d = self._dispatch_floor
+            if d > t:
+                self._next_due = d
+                return
+            a0 = min(self._heads)
+            if a0 > t:
+                self._next_due = a0
+                return
+        self._commit_block(t)
 
     def cancel(self, job: Job) -> bool:
         if job.state is JobState.QUEUED:

@@ -127,6 +127,10 @@ class PopulationResult:
         return {vo: np.concatenate(js) for vo, js in pools.items()}
 
 
+def _call(launcher) -> None:
+    launcher()
+
+
 def _resolve_engine(engine: str | None, grid: GridSimulator, spec) -> str:
     """Pick the execution engine (see :func:`run_population`)."""
     if engine is None:
@@ -187,7 +191,6 @@ def run_population(
     *,
     seed: RngLike = 0,
     horizon_slack: float = 100_000.0,
-    step: float = 3600.0,
     engine: str | None = None,
 ) -> PopulationResult:
     """Run every fleet of ``spec`` concurrently on ``grid``.
@@ -210,11 +213,8 @@ def run_population(
         streams).
     horizon_slack:
         Extra virtual time after the window for stragglers to finish.
-    step:
-        Unused — kept for call-site compatibility.  The run is
-        event-driven: the last task's completion stops the simulator at
-        that exact instant instead of an advance loop polling every
-        ``step`` seconds.
+        The run is event-driven: the last task's completion stops the
+        simulator at that exact instant.
     engine:
         ``"soa"`` runs the struct-of-arrays task pool
         (:mod:`repro.population.soa`), ``"legacy"`` the per-task
@@ -225,7 +225,6 @@ def run_population(
         ``tests/test_population_soa.py``.
     """
     check_positive("horizon_slack", horizon_slack)
-    del step  # retained for call-site compatibility only
     resolved = _resolve_engine(engine, grid, spec)
     rngs = spawn_rngs(as_rng(seed), len(spec.fleets))
     start = grid.now
@@ -309,13 +308,13 @@ def run_population(
             )
         )
 
-    # One self-rechaining event walks the merged launch schedule instead
-    # of pre-loading one heap entry per task: a 100k-task run keeps the
-    # kernel heap at steady-state size (completions + timers), which
-    # makes every sift cheaper.  The fleet-major stable sort reproduces
-    # the old per-event order exactly: equal launch instants fire
-    # back-to-back inside one event body, just like their consecutive
-    # insertion seqs made them do.
+    # The kernel walks the merged launch schedule (one event per run of
+    # launches nothing else interleaves) instead of pre-loading one heap
+    # entry per task: a 100k-task run keeps the kernel heap at
+    # steady-state size (completions + timers).  The fleet-major stable
+    # sort reproduces the old per-event order exactly: equal launch
+    # instants fire back-to-back, just like their consecutive insertion
+    # seqs made them do.
     cat = np.concatenate(all_times)
     fid = np.repeat(
         np.arange(len(all_times), dtype=np.intp),
@@ -323,21 +322,14 @@ def run_population(
     )
     order = np.argsort(cat, kind="stable")
     sorted_t = (cat[order] + start).tolist()
-    sorted_f = fid[order].tolist()
+    sorted_launchers = [launchers[f] for f in fid[order].tolist()]
     sim = grid.sim
     cursor = [0]
 
     def fire() -> None:
-        i = cursor[0]
-        t = sorted_t[i]
-        launchers[sorted_f[i]]()
-        i += 1
-        while i < total and sorted_t[i] == t:
-            launchers[sorted_f[i]]()
-            i += 1
-        cursor[0] = i
-        if i < total:
-            sim.schedule_at(sorted_t[i], fire)
+        cursor[0] = sim.fire_schedule(
+            sorted_t, sorted_launchers, cursor[0], _call, fire
+        )
 
     sim.schedule_at(sorted_t[0], fire)
 

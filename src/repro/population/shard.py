@@ -30,12 +30,18 @@ The protocol (all payloads are plain tuples):
     mirror job and enqueues it there (batched per site per sub-window).
 ``start``
     A mirror started on its host: the origin settles the task at the
-    *remote* start instant, so the fabric's delivery lag never inflates
-    the measured latency ``J``.  If the task has meanwhile settled or
-    timed out at the origin, the reply is a ``cancel``.
+    *remote* start instant, so the return trip of this message adds
+    nothing to the measured latency ``J``.  If the task has meanwhile
+    settled or timed out at the origin, the reply is a ``cancel``.
 ``cancel``
     The origin cancelled a shipped copy (timeout or sibling settle):
     the host kills the mirror wherever it is (queued or running).
+
+The outbound lag is not free: a shipped copy joins its host's queue
+one epoch after it was ranked, so sharding shifts the law of ``J``.  On
+the benchmark's 100k fleet day (``perfbench``, seed 1) the mean ``J`` is
+~76 s in one process and ~212 s across two shards; bounding that shift
+is an open ROADMAP item (the sharded-runtime entry).
 
 A timeout can race a remote start across the one-epoch fabric lag
 (the origin resubmits a copy whose mirror had already started); the
@@ -86,6 +92,12 @@ from repro.util.validation import check_positive
 __all__ = ["ShardBroker", "run_population_sharded", "shard_configs"]
 
 _SUPPORTED = (SingleResubmission, MultipleSubmission, DelayedResubmission)
+
+#: how often (s) the parent, waiting on a worker, checks it is still alive
+_RECV_POLL_S = 1.0
+
+#: what a pipe raises once the worker at its other end is gone
+_PIPE_GONE = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
 class ShardBroker(BatchedWorkloadManager):
@@ -342,7 +354,8 @@ class _ShardRuntime:
         stub.start_time = t_started
         # the pool's start watcher is partial(TaskPool._start, i):
         # recover the pool index and settle at the *remote* start
-        # instant, so fabric delivery lag never inflates measured J
+        # instant, so this message's delivery lag stays out of J (the
+        # outbound lag does not: see the module docstring)
         i = cb.args[0]
         if self.pool.state[i] == _ACTIVE:
             self.pool.settle(i, stub, t_started)
@@ -600,6 +613,7 @@ def run_population_sharded(
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else "spawn")
     conns, procs = [], []
+    finished = False
     try:
         for k in range(shards):
             parent_conn, child_conn = ctx.Pipe()
@@ -617,24 +631,46 @@ def run_population_sharded(
             conns.append(parent_conn)
             procs.append(proc)
 
-        def _recv(conn):
-            msg = conn.recv()
+        def _died(k) -> RuntimeError:
+            proc = procs[k]
+            proc.join(timeout=_RECV_POLL_S)
+            return RuntimeError(
+                f"shard worker {k} died mid-run (exit code {proc.exitcode})"
+            )
+
+        def _send(k, msg):
+            try:
+                conns[k].send(msg)
+            except _PIPE_GONE:
+                raise _died(k) from None
+
+        def _recv(k):
+            # poll instead of blocking in recv: a worker that dies without
+            # a word must end the run with an error, never hang it
+            conn, proc = conns[k], procs[k]
+            while not conn.poll(_RECV_POLL_S):
+                if not proc.is_alive() and not conn.poll(0):
+                    raise _died(k)
+            try:
+                msg = conn.recv()
+            except _PIPE_GONE:
+                raise _died(k) from None
             if msg[0] == "error":
-                raise RuntimeError(f"shard worker failed:\n{msg[1]}")
+                raise RuntimeError(f"shard worker {k} failed:\n{msg[1]}")
             return msg
 
         inboxes: list[list] = [[] for _ in range(shards)]
         loads_tables = None
         for e in range(max_epochs):
             t_end = start + (e + 1) * epoch
-            for k, conn in enumerate(conns):
-                conn.send(("run", t_end, inboxes[k], loads_tables))
+            for k in range(shards):
+                _send(k, ("run", t_end, inboxes[k], loads_tables))
             inboxes = [[] for _ in range(shards)]
             pending = 0
             in_flight = False
             loads_tables = []
-            for k, conn in enumerate(conns):
-                _tag, pend_k, out_k, loads_k = _recv(conn)
+            for k in range(shards):
+                _tag, pend_k, out_k, loads_k = _recv(k)
                 pending += pend_k
                 loads_tables.append(loads_k)
                 for dest, kind, boundary, payload in out_k:
@@ -643,13 +679,19 @@ def run_population_sharded(
             if pending == 0 and not in_flight:
                 break
         results = []
-        for conn in conns:
-            conn.send(("finish",))
-            results.append(_recv(conn)[1])
+        for k in range(shards):
+            _send(k, ("finish",))
+            results.append(_recv(k)[1])
+        finished = True
     finally:
         for conn in conns:
             conn.close()
         for proc in procs:
+            if not finished:
+                # a forked worker inherits the parent's end of its own
+                # pipe, so closing it here never wakes a worker that
+                # waits for its next message
+                proc.terminate()
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - cleanup path
                 proc.terminate()

@@ -93,8 +93,9 @@ class TaskPool:
     launch_times:
         Per-fleet launch instants relative to ``start`` (the arrays
         :meth:`PopulationSpec.launch_times` synthesises).  The pool
-        merges them into one chained launch walker exactly like the
-        legacy driver (fleet-major stable sort).
+        merges them into one sorted schedule exactly like the legacy
+        driver (fleet-major stable sort), walked by
+        :meth:`~repro.gridsim.events.Simulator.fire_schedule`.
     start:
         Absolute instant the window opens (``grid.now`` at call time).
     on_all_done:
@@ -232,36 +233,25 @@ class TaskPool:
         self._pooled = grid._pooled_timers
         self._wheel: dict[float, list] = {}
 
-        # -- chained launch walker (same merged order as the driver) ------
+        # -- launch schedule (same merged order as the driver) -----------
+        self._cursor = 0
         if n:
             cat = np.concatenate(launch_times)
             order = np.argsort(cat, kind="stable")
             self._sorted_t = (cat[order] + start).tolist()
             self._sorted_i = order.tolist()
-            self._cursor = 0
             sim.schedule_at(self._sorted_t[0], self._fire_launches)
         else:
             self._sorted_t = []
             self._sorted_i = []
-            self._cursor = 0
 
     # -- launch ----------------------------------------------------------
 
     def _fire_launches(self) -> None:
-        i = self._cursor
-        st = self._sorted_t
-        si = self._sorted_i
-        n = self.n
-        t = st[i]
-        launch = self._launch
-        launch(si[i])
-        i += 1
-        while i < n and st[i] == t:
-            launch(si[i])
-            i += 1
-        self._cursor = i
-        if i < n:
-            self._sim.schedule_at(st[i], self._fire_launches)
+        self._cursor = self._sim.fire_schedule(
+            self._sorted_t, self._sorted_i, self._cursor,
+            self._launch, self._fire_launches,
+        )
 
     def _launch(self, i: int) -> None:
         f = self.fid[i]

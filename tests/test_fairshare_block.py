@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.strategies import MultipleSubmission, SingleResubmission
 from repro.gridsim import (
@@ -34,6 +36,7 @@ from repro.gridsim import (
     SiteConfig,
     Simulator,
 )
+from repro.gridsim.fairshare import _PerJobBatchOps
 
 SHARES3 = (("biomed", 0.5), ("atlas", 0.3), ("cms", 0.2))
 HALFLIVES = [86_400.0, 3600.0, math.inf]
@@ -468,3 +471,306 @@ class TestPopulationParity:
             np.testing.assert_array_equal(fa.jobs_submitted, fb.jobs_submitted)
         assert a.site_usage_shares == b.site_usage_shares
         assert a.duration == b.duration
+
+
+# -- batched enqueue_many against the per-job loop -------------------------
+
+#: the per-job ``enqueue`` loop the batched ``enqueue_many`` must replay
+per_job_enqueue_many = _PerJobBatchOps.enqueue_many
+
+VO_NAMES = ("biomed", "atlas", "cms")
+
+
+def raw_state(sim: Simulator, site: FairShareVectorComputingElement) -> tuple:
+    """Site + kernel state *without* reconciling (floats compared bitwise)."""
+    fs = site.fairshare
+    w = site._wake
+    heads_valid = site._heads_mut == site._mut
+    return (
+        sim.now,
+        site._next_due,
+        site._started,
+        site._killed,
+        site._live_clients,
+        tuple(site._vo_husks),
+        tuple(len(q) for q in site._clq),
+        tuple(site._bgc),
+        tuple(fs._usage),
+        fs._last,
+        tuple(sorted(site._core_free)),
+        None if w is None or w.cancelled else w.time,
+        heads_valid,
+        (tuple(site._heads), tuple(site._cheads)) if heads_valid else None,
+        site.black_hole,
+        site.dispatch_enabled,
+        site.jobs_failed_bh,
+        sorted((t, s) for t, s, ev in sim._heap if not ev.cancelled),
+    )
+
+
+def full_trace(jobs: list[Job]) -> list[tuple]:
+    return [
+        (j.state.value, j.queue_time, j.start_time, j.end_time, j.site)
+        for j in jobs
+    ]
+
+
+def run_batch_scenario(sc: dict, batched: bool):
+    """One scenario on a fresh site; the batch goes through ``enqueue_many``
+    (``batched``) or through the per-job loop.
+
+    ``sc`` holds: ``n_cores``, ``halflife``, a background ``feed``, the
+    ``pre`` clients ``(t, vo, runtime, group)`` queued before the batch
+    instant ``tb``, the ``cancel_at_batch`` indices of pre clients
+    cancelled just before the batch (which leaves the head rows stale),
+    the ``batch`` entries ``(vo, runtime, group)`` — members of one group
+    > 0 are sibling copies that a start cancels — and a ``trigger``
+    (``"hole"``/``"outage"``) opened by the ``trigger_at``-th start.
+
+    The batch runs from the first event scheduled, as a WMS bucket
+    resolve does: it precedes a wake due at the same instant, and due
+    completions are still undrained when it starts.
+    """
+    sim, site = make_site(sc["halflife"], n_cores=sc["n_cores"])
+    groups: dict[int, list[Job]] = {}
+    group_of: dict[int, int] = {}
+    n_starts = [0]
+    walks = [0]
+    commit_block = site._commit_block
+
+    def counted(t):
+        walks[0] += 1
+        commit_block(t)
+
+    site._commit_block = counted
+
+    def make_job(vo: int, runtime: float, group: int) -> Job:
+        job = Job(runtime=runtime, vo=VO_NAMES[vo])
+        if group:
+            groups.setdefault(group, []).append(job)
+            group_of[id(job)] = group
+        return job
+
+    def on_start(job: Job) -> None:
+        g = group_of.get(id(job), 0)
+        for sib in groups.get(g, ()) if g else ():
+            if sib is job:
+                continue
+            if sib.state in (JobState.MATCHING, JobState.CREATED):
+                sib.state = JobState.CANCELLED  # what cancel_matching does
+            elif sib.state in (JobState.QUEUED, JobState.RUNNING):
+                site.cancel(sib)
+        n_starts[0] += 1
+        if sc["trigger"] and n_starts[0] == sc["trigger_at"]:
+            if sc["trigger"] == "hole":
+                site.begin_black_hole()
+            else:
+                site.begin_outage(np.random.default_rng(5), 0.5)
+
+    pre: list[Job] = []
+    batch: list[Job] = []
+    at_batch: list = []
+
+    def resolve() -> None:
+        for idx in sc["cancel_at_batch"]:
+            if pre:
+                site.cancel(pre[idx % len(pre)])
+        for vo, runtime, group in sc["batch"]:
+            job = make_job(vo, runtime, group)
+            job.state = JobState.MATCHING
+            batch.append(job)
+        walks[0] = 0
+        if batched:
+            n = site.enqueue_many(batch)
+        else:
+            n = per_job_enqueue_many(site, batch)
+        at_batch.extend(
+            (n, walks[0], raw_state(sim, site), full_trace(pre + batch))
+        )
+
+    sim.schedule_at(sc["tb"], resolve)
+    site.on_start = on_start
+    times, runtimes, vos = sc["feed"]
+    if times:
+        site.feed_background(list(times), list(runtimes), list(vos))
+    for t, vo, runtime, group in sc["pre"]:
+        sim.run_until(t)
+        job = make_job(vo, runtime, group)
+        site.enqueue(job)
+        pre.append(job)
+    sim.run_until(sc["tb"] + 400.0)
+    after = (site_state(sim, site), full_trace(pre + batch))
+    n, batch_walks, state, trace = at_batch
+    return (n, state, trace), after, batch_walks
+
+
+def assert_batch_matches_loop(sc: dict) -> tuple[int, int]:
+    """Bit-for-bit agreement; returns the (batched, loop) walk counts."""
+    a_at, a_after, a_walks = run_batch_scenario(sc, batched=True)
+    b_at, b_after, b_walks = run_batch_scenario(sc, batched=False)
+    assert a_at == b_at
+    assert a_after == b_after
+    return a_walks, b_walks
+
+
+def batch_scenario(**kw) -> dict:
+    sc = dict(
+        n_cores=3,
+        halflife=86_400.0,
+        feed=((), (), ()),
+        pre=(),
+        cancel_at_batch=(),
+        tb=10.0,
+        batch=(),
+        trigger=None,
+        trigger_at=1,
+    )
+    sc.update(kw)
+    return sc
+
+
+class TestBatchedEnqueue:
+    """``FairShareVectorComputingElement.enqueue_many`` replays the
+    per-job ``enqueue`` loop: same starts, floats, wake and husks."""
+
+    @pytest.mark.parametrize("halflife", HALFLIVES, ids=HL_IDS)
+    def test_free_cores_flip_to_busy_mid_batch(self, halflife):
+        sc = batch_scenario(
+            halflife=halflife,
+            feed=([1.0, 2.0], [30.0, 50.0], [1, 2]),
+            batch=[(0, 20.0, 0), (1, 15.0, 0), (0, 25.0, 0), (2, 5.0, 0),
+                   (1, 40.0, 0)],
+        )
+        batched, loop = assert_batch_matches_loop(sc)
+        # the lone-candidate start commits without a walk
+        assert batched < loop
+
+    def test_every_core_busy_appends_without_walking(self):
+        sc = batch_scenario(
+            n_cores=1,
+            feed=([0.0], [100.0], [0]),
+            batch=[(v % 3, 10.0 + v, 0) for v in range(6)],
+        )
+        # the one pre-walk commits the background start; the six joins
+        # then only append
+        assert assert_batch_matches_loop(sc) == (1, 1)
+
+    def test_sibling_cancels_fired_mid_batch(self):
+        """A start settles its task: queued, running and still-matching
+        copies of the same group die while the batch is in flight."""
+        sc = batch_scenario(
+            n_cores=2,
+            pre=[(2.0, 1, 300.0, 2)],
+            batch=[(0, 20.0, 1), (1, 20.0, 2), (0, 20.0, 1), (2, 20.0, 2),
+                   (2, 30.0, 1), (1, 10.0, 0)],
+        )
+        assert_batch_matches_loop(sc)
+
+    def test_completion_due_before_the_batch_settles_first(self):
+        """A client that ended before the batch (no reconciliation since)
+        is completed before the lone newcomer starts."""
+        sc = batch_scenario(
+            n_cores=2, pre=[(0.0, 0, 5.0, 0)], batch=[(1, 20.0, 0)]
+        )
+        assert_batch_matches_loop(sc)
+        (_, _, trace), _, walks = run_batch_scenario(sc, batched=True)
+        assert trace[0][0] == JobState.COMPLETED.value
+        assert walks == 0
+
+    def test_husk_left_by_the_prewalk_ahead_of_a_lone_newcomer(self):
+        """The batch's first job is cancelled inside its own pre-walk (a
+        sibling starts at the same instant) and joins as a husk behind
+        valid head rows; the next job of that VO starts alone and must
+        drop the husk ahead of it, as the walk does."""
+        sc = batch_scenario(
+            n_cores=3,
+            tb=40.0,
+            pre=[(0.0, 2, 40.0, 0), (0.0, 1, 100.0, 0), (0.0, 2, 40.0, 0),
+                 (1.0, 0, 5.0, 1)],
+            batch=[(0, 20.0, 1), (0, 10.0, 0)],
+        )
+        assert_batch_matches_loop(sc)
+        (n, state, trace), _, _ = run_batch_scenario(sc, batched=True)
+        assert n == 2
+        assert trace[4][0] == JobState.CANCELLED.value
+        assert trace[5][2] == 40.0  # started alone, at the batch instant
+        assert state[5] == (0, 0, 0)  # _vo_husks: the husk was dropped
+
+    def test_stale_head_rows_take_the_per_job_path(self):
+        sc = batch_scenario(
+            n_cores=2,
+            feed=([1.0], [200.0], [2]),
+            pre=[(2.0, 0, 300.0, 0), (3.0, 1, 30.0, 0)],
+            cancel_at_batch=[1],
+            batch=[(1, 20.0, 0), (2, 20.0, 0), (0, 20.0, 0)],
+        )
+        assert_batch_matches_loop(sc)
+
+    @pytest.mark.parametrize("trigger_at", [2, 3])
+    @pytest.mark.parametrize("trigger", ["hole", "outage"])
+    def test_fault_opens_during_the_batch(self, trigger, trigger_at):
+        """Opened by a lone start mid-batch (2) or by the last one (3)."""
+        sc = batch_scenario(
+            n_cores=3,
+            batch=[(0, 20.0, 0), (1, 15.0, 0), (2, 25.0, 0), (0, 5.0, 0)],
+            trigger=trigger,
+            trigger_at=trigger_at,
+        )
+        assert_batch_matches_loop(sc)
+
+    def test_competing_head_at_the_batch_instant(self):
+        """A background arrival lands exactly at the batch instant."""
+        sc = batch_scenario(
+            n_cores=2,
+            feed=([10.0, 10.0], [40.0, 60.0], [0, 1]),
+            batch=[(0, 20.0, 0), (2, 15.0, 0)],
+        )
+        assert_batch_matches_loop(sc)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_drawn_batches(self, data):
+        half = st.integers(0, 160).map(lambda x: x / 2.0)
+        runtime = st.integers(2, 160).map(lambda x: x / 2.0)
+        k = data.draw(st.integers(0, 8))
+        feed = (
+            sorted(data.draw(st.lists(half, min_size=k, max_size=k))),
+            data.draw(st.lists(runtime, min_size=k, max_size=k)),
+            data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
+        )
+        tb = data.draw(st.integers(40, 120).map(lambda x: x / 2.0))
+        pre = sorted(
+            data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, int(2 * tb) - 1).map(lambda x: x / 2.0),
+                        st.integers(0, 2),
+                        runtime,
+                        st.integers(0, 3),
+                    ),
+                    max_size=4,
+                )
+            )
+        )
+        sc = batch_scenario(
+            n_cores=data.draw(st.integers(1, 4)),
+            halflife=data.draw(st.sampled_from(HALFLIVES)),
+            feed=feed,
+            pre=pre,
+            cancel_at_batch=data.draw(st.lists(st.integers(0, 3), max_size=2)),
+            tb=tb,
+            batch=data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, 2), runtime, st.integers(0, 3)),
+                    min_size=1,
+                    max_size=8,
+                )
+            ),
+            trigger=data.draw(st.sampled_from([None, None, "hole", "outage"])),
+            trigger_at=data.draw(st.integers(1, 4)),
+        )
+        assert_batch_matches_loop(sc)

@@ -304,6 +304,88 @@ class TestShardedRuntime:
                 warm=3600.0,
             )
 
+    def test_worker_killed_mid_epoch_is_a_clean_error(self, monkeypatch):
+        """A shard worker that dies mid-run ends the run with an error
+        naming it and its exit code — never a hang or a raw EOFError —
+        and leaves no worker process behind."""
+        import multiprocessing as mp
+        import os
+        import signal
+
+        from repro.population import soa
+
+        parent = os.getpid()
+        launch = soa.TaskPool._launch
+        launched = [0]
+
+        def dying_launch(pool, i):
+            # shard 1 owns s01, s03, s05; it dies on its fifth launch
+            if os.getpid() != parent and pool.grid.sites[0].name == "s01":
+                launched[0] += 1
+                if launched[0] == 5:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            launch(pool, i)
+
+        monkeypatch.setattr(soa.TaskPool, "_launch", dying_launch)
+        with pytest.raises(
+            RuntimeError, match=r"shard worker 1 died mid-run \(exit code -9\)"
+        ):
+            run_population_sharded(
+                shard_config(), mixed_spec(60), shards=2, seed=9,
+                grid_seed=5, warm=3600.0,
+            )
+        assert mp.active_children() == []
+
+    def test_worker_dead_between_epochs_is_a_clean_error(self, monkeypatch):
+        """A worker that exits right after reporting an epoch: the
+        parent's next message to it hits a closed pipe, which ends the
+        run with the same error."""
+        import multiprocessing as mp
+        import os
+        import time
+        from multiprocessing.connection import Connection
+
+        from repro.population import shard
+
+        local_loads = shard._ShardRuntime._local_loads
+        send = Connection.send
+        # per process after the fork: only shard 1 ever sets "die"
+        state = {"epochs": 0, "die": False}
+
+        def counting_loads(rt):
+            if rt.wid == 1:
+                state["epochs"] += 1
+                state["die"] = state["epochs"] == 3
+            return local_loads(rt)
+
+        parent = os.getpid()
+        runs = [0]
+
+        def send_then_die(conn, obj):
+            if os.getpid() == parent and obj[0] == "run":
+                runs[0] += 1
+                if runs[0] == 8:
+                    # the fourth epoch's message to shard 1: wait until
+                    # the worker is gone, so the send meets a closed pipe
+                    deadline = time.monotonic() + 10.0
+                    while len(mp.active_children()) > 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+            send(conn, obj)
+            if state["die"]:
+                os._exit(5)  # right after reporting its third epoch
+
+        monkeypatch.setattr(shard._ShardRuntime, "_local_loads", counting_loads)
+        monkeypatch.setattr(Connection, "send", send_then_die)
+        with pytest.raises(
+            RuntimeError, match=r"shard worker 1 died mid-run \(exit code 5\)"
+        ):
+            run_population_sharded(
+                shard_config(), mixed_spec(60), shards=2, seed=9,
+                grid_seed=5, warm=3600.0,
+            )
+        assert mp.active_children() == []
+
     def test_grid_seed_must_be_int(self):
         with pytest.raises(TypeError, match="integer grid_seed"):
             run_population_sharded(
