@@ -77,7 +77,7 @@ def test_bench_population_20k(benchmark):
 
     A 1/5-scale replica of the 100k population day: same 4096-core
     fair-share grid, same fleet mix and diurnal window, so the
-    fair-share commit loop, the wake predictor and the chained launch
+    fair-share commit loop, the wake predictor and the launch-schedule
     walker are exercised in their production regime on every core
     baseline run.
     """

@@ -598,36 +598,23 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
         """Accept a dispatch batch; the same floats as an ``enqueue`` loop.
 
         Each job still joins in batch order with its own decision, but
-        the two common cases skip the per-job walk:
-
-        * every core is busy past now — the job is appended with the
-          O(1) head patch, and one wake re-aim covers the rest of the
-          batch;
-        * a core is free and no head is due — the job is the only
-          candidate, so it starts now (:meth:`_start_alone`).
-
-        Anything else — a due pre-walk, a black hole, a closed gate,
-        stale head rows, a competing head — takes the per-job path.
-        With :attr:`block_commits` off the batch is a plain ``enqueue``
-        loop, the oracle this method is pinned against.
+        the common case skips the per-job walk: a core is free and no
+        head is due, so the job is the only candidate and starts now
+        (:meth:`_start_alone`).  Anything else — a due pre-walk, a black
+        hole, a closed gate, stale head rows, a competing head, every
+        core busy — takes the per-job path.  With :attr:`block_commits`
+        off the batch is a plain ``enqueue`` loop, the oracle this
+        method is pinned against.
         """
         if not self.block_commits:
             return _PerJobBatchOps.enqueue_many(self, jobs)
         now = self.sim._now
         name = self.name
         index_of = self.fairshare.index_of
-        clq = self._clq
         heads = self._heads
-        cheads = self._cheads
         QUEUED = JobState.QUEUED
         MATCHING, CREATED = JobState.MATCHING, JobState.CREATED
-        INF = _INF
         n = 0
-        # a busy-core join calls nothing out and moves neither the core
-        # heap nor the memo below now, so every later job of the batch
-        # joins the same way: their wake re-aims (all aimed at the same
-        # instant) collapse into one after the loop
-        wake = False
         for job in jobs:
             st = job.state
             if st is not MATCHING and st is not CREATED:
@@ -651,23 +638,14 @@ class FairShareVectorComputingElement(_VoTelemetry, _PerJobBatchOps, VectorCompu
             e = self._core_free[0]
             if self._dispatch_floor > e:
                 e = self._dispatch_floor
-            vi = index_of(job.vo)
-            if e > now:
-                clq[vi].append(job)
-                self._live_clients += 1
-                if self._heads_mut == self._mut and cheads[vi] == INF:
-                    cheads[vi] = now
-                    if heads[vi] > now:
-                        heads[vi] = now
-                if e < self._next_due:
-                    self._next_due = e
-                wake = True
-            elif self._heads_mut == self._mut and min(heads) > now:
-                self._start_alone(job, vi, now)
+            if (
+                e <= now
+                and self._heads_mut == self._mut
+                and min(heads) > now
+            ):
+                self._start_alone(job, index_of(job.vo), now)
             else:
                 self._join(job, now)
-        if wake:
-            self._defer_wake()
         return n
 
     def _start_alone(self, job: Job, v: int, t: float) -> None:

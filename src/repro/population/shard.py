@@ -93,9 +93,6 @@ __all__ = ["ShardBroker", "run_population_sharded", "shard_configs"]
 
 _SUPPORTED = (SingleResubmission, MultipleSubmission, DelayedResubmission)
 
-#: how often (s) the parent, waiting on a worker, checks it is still alive
-_RECV_POLL_S = 1.0
-
 #: what a pipe raises once the worker at its other end is gone
 _PIPE_GONE = (EOFError, BrokenPipeError, ConnectionResetError)
 
@@ -631,9 +628,11 @@ def run_population_sharded(
             conns.append(parent_conn)
             procs.append(proc)
 
+        # the parent closed each child end right after its fork, so a
+        # worker's pipe reads EOF (or breaks on send) once it is gone
         def _died(k) -> RuntimeError:
             proc = procs[k]
-            proc.join(timeout=_RECV_POLL_S)
+            proc.join(timeout=1.0)
             return RuntimeError(
                 f"shard worker {k} died mid-run (exit code {proc.exitcode})"
             )
@@ -645,14 +644,8 @@ def run_population_sharded(
                 raise _died(k) from None
 
         def _recv(k):
-            # poll instead of blocking in recv: a worker that dies without
-            # a word must end the run with an error, never hang it
-            conn, proc = conns[k], procs[k]
-            while not conn.poll(_RECV_POLL_S):
-                if not proc.is_alive() and not conn.poll(0):
-                    raise _died(k)
             try:
-                msg = conn.recv()
+                msg = conns[k].recv()
             except _PIPE_GONE:
                 raise _died(k) from None
             if msg[0] == "error":
