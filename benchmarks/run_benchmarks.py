@@ -133,25 +133,50 @@ def distill(report: dict) -> dict:
     return dict(sorted(out.items()))
 
 
-def baseline_payload(results: dict) -> dict:
+def environment() -> dict:
+    """The machine this process runs on, as recorded in a baseline."""
     import numpy
 
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "cores": len(os.sched_getaffinity(0)),
+        "cpu": cpu,
+    }
+
+
+def baseline_payload(results: dict) -> dict:
     return {
         "suite": "core",
         "updated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
+        "environment": environment(),
         "units": "seconds",
         "benchmarks": results,
     }
 
 
+def _describe(env: dict) -> str:
+    keys = ("python", "numpy", "machine", "system", "cores", "cpu")
+    return ", ".join(f"{k} {env.get(k, '?')}" for k in keys)
+
+
 def compare(results: dict, baseline: dict, threshold: float) -> tuple[bool, str]:
-    """Build the comparison table; (ok, text) — ok is False on regression."""
+    """Build the comparison table; (ok, text) — ok is False on regression.
+
+    The table opens with the baseline's environment next to this run's,
+    so a different machine can be told apart from a regression.
+    """
     base = baseline.get("benchmarks", {})
     ok = True
     track_mem = any("mem_peak_bytes" in s for s in results.values())
@@ -159,7 +184,12 @@ def compare(results: dict, baseline: dict, threshold: float) -> tuple[bool, str]
     header = f"{'benchmark'.ljust(width)}{'mean':>12}{'baseline':>12}{'ratio':>8}"
     if track_mem:
         header += f"{'mem peak':>12}"
-    lines = [header]
+    lines = [
+        f"baseline on: {_describe(baseline.get('environment', {}))}",
+        f"this run on: {_describe(environment())}",
+        "",
+        header,
+    ]
 
     def mem_col(stats: dict) -> str:
         if not track_mem:

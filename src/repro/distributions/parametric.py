@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-import scipy.stats as st
 
 from repro.distributions.base import LatencyDistribution
 from repro.util.rng import RngLike, as_rng
@@ -27,8 +26,11 @@ __all__ = ["LogNormal", "Weibull", "Gamma", "Exponential", "Pareto", "LogLogisti
 class _ScipyBacked(LatencyDistribution):
     """Common plumbing for families backed by a frozen scipy distribution."""
 
-    def __init__(self, frozen: st.distributions.rv_frozen) -> None:
-        self._frozen = frozen
+    def __init__(self, scipy_name: str, **params: float) -> None:
+        # deferred: scipy.stats dominates start-up and no simulator path needs it
+        import scipy.stats
+
+        self._frozen = getattr(scipy.stats, scipy_name)(**params)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -83,7 +85,7 @@ class LogNormal(_ScipyBacked):
     def __init__(self, mu: float, sigma: float) -> None:
         self.mu = float(mu)
         self.sigma = check_positive("sigma", sigma)
-        super().__init__(st.lognorm(s=self.sigma, scale=np.exp(self.mu)))
+        super().__init__("lognorm", s=self.sigma, scale=np.exp(self.mu))
 
     @classmethod
     def from_mean_std(cls, mean: float, std: float) -> "LogNormal":
@@ -111,7 +113,7 @@ class Weibull(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.weibull_min(c=self.shape, scale=self.scale))
+        super().__init__("weibull_min", c=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
@@ -125,7 +127,7 @@ class Gamma(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.gamma(a=self.shape, scale=self.scale))
+        super().__init__("gamma", a=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
@@ -142,7 +144,7 @@ class Exponential(_ScipyBacked):
 
     def __init__(self, rate: float) -> None:
         self.rate = check_positive("rate", rate)
-        super().__init__(st.expon(scale=1.0 / self.rate))
+        super().__init__("expon", scale=1.0 / self.rate)
 
     def params(self) -> dict[str, Any]:
         return {"rate": self.rate}
@@ -162,7 +164,7 @@ class Pareto(_ScipyBacked):
     def __init__(self, alpha: float, scale: float) -> None:
         self.alpha = check_positive("alpha", alpha)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.lomax(c=self.alpha, scale=self.scale))
+        super().__init__("lomax", c=self.alpha, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"alpha": self.alpha, "scale": self.scale}
@@ -180,7 +182,7 @@ class LogLogistic(_ScipyBacked):
     def __init__(self, shape: float, scale: float) -> None:
         self.shape = check_positive("shape", shape)
         self.scale = check_positive("scale", scale)
-        super().__init__(st.fisk(c=self.shape, scale=self.scale))
+        super().__init__("fisk", c=self.shape, scale=self.scale)
 
     def params(self) -> dict[str, Any]:
         return {"shape": self.shape, "scale": self.scale}
