@@ -144,15 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cores", type=int, default=256, help="cores per site"
     )
     pop_p.add_argument(
-        "--engine",
-        choices=("auto", "soa", "legacy"),
-        default=None,
-        help=(
-            "population engine for --shards 1 (default: auto picks the "
-            "struct-of-arrays pool); sharded runs always use the pool"
-        ),
-    )
-    pop_p.add_argument(
         "--seed", type=int, default=41, help="launch-schedule seed"
     )
     pop_p.add_argument(
@@ -501,8 +492,7 @@ def _cmd_population(args, out) -> int:
     """Run the preset population day, in one process or sharded."""
     import time
 
-    from repro.gridsim import warmed_snapshot
-    from repro.population import run_population, run_population_sharded
+    from repro.population import run_population_sharded
     from repro.population.presets import (
         fleet_grid_config,
         fleet_population_spec,
@@ -513,27 +503,18 @@ def _cmd_population(args, out) -> int:
     if args.scale < 0:
         out.write(f"error: --scale must be >= 0, got {args.scale}\n")
         return 2
-    if args.engine is not None and args.shards != 1:
-        out.write("error: --engine only applies to --shards 1 runs\n")
-        return 2
     n_sites = args.sites if args.sites is not None else fleet_sites_for(args.scale)
     try:
         config = fleet_grid_config(n_sites, args.cores)
         spec = fleet_population_spec(args.scale)
         t0 = time.perf_counter()
-        if args.shards == 1 and args.engine is not None:
-            grid = warmed_snapshot(
-                config, seed=args.grid_seed, duration=6 * 3600.0
-            ).restore()
-            result = run_population(grid, spec, seed=args.seed, engine=args.engine)
-        else:
-            result = run_population_sharded(
-                config,
-                spec,
-                shards=args.shards,
-                seed=args.seed,
-                grid_seed=args.grid_seed,
-            )
+        result = run_population_sharded(
+            config,
+            spec,
+            shards=args.shards,
+            seed=args.seed,
+            grid_seed=args.grid_seed,
+        )
         wall = time.perf_counter() - t0
     except ValueError as exc:
         out.write(f"error: {exc}\n")

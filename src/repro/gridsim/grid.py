@@ -769,51 +769,20 @@ class GridSimulator:
         """
         if self._mw is not None:
             return self._mw.submit(job, on_start, via, task)
-        job.submit_time = self.sim.now
+        job.submit_time = self.sim._now
         self.jobs_submitted += 1
         tr = self._tr
         if tr is not None and task is not None:
             tr.submit(task, job)
-        faults = self.config.faults
-        if faults.p_lost != 0.0 or faults.p_stuck != 0.0:
-            # the fault uniforms are consumed inline, with the same
-            # refill idiom as submit_many — keep the two in lockstep,
-            # they share the _fault_rng stream.  The second draw only
-            # happens when the job survives the first channel, exactly
-            # like the historical per-channel Bernoullis.  Fault-free
-            # grids skip the draws entirely: the stream is private to
-            # this channel, so no other law can observe the skipped
-            # uniforms
-            uniforms = self._fault_uniforms
-            if len(uniforms) < 2:
-                uniforms.extend(self._fault_rng.random(256).tolist())
-            if uniforms.popleft() < faults.p_lost:
-                job.state = JobState.LOST
-                self.jobs_lost += 1
-                if tr is not None:
-                    tr.fail(job, "lost")
-                return job
-            if uniforms.popleft() < faults.p_stuck:
-                # the job will sit in a mis-configured queue forever:
-                # model it as matching that never dispatches
-                job.state = JobState.STUCK
-                self.jobs_stuck += 1
-                if tr is not None:
-                    tr.fail(job, "stuck")
-                return job
-        # attach the watcher only to jobs that can actually start: a
-        # watcher on a lost/stuck job would never fire and only pins a
-        # job→task reference cycle for the garbage collector
-        if on_start is not None:
-            job.on_start = on_start
-        brokers = self.brokers
-        if via is None and len(brokers) == 1:
-            broker = brokers[0]
-        else:
-            broker = self.broker_for(via)
-        if tr is not None:
-            tr.hop(job, broker)
-        broker.submit(job)
+        if self._accept(job, on_start):
+            brokers = self.brokers
+            if via is None and len(brokers) == 1:
+                broker = brokers[0]
+            else:
+                broker = self.broker_for(via)
+            if tr is not None:
+                tr.hop(job, broker)
+            broker.submit(job)
         return job
 
     def submit_many(
@@ -844,44 +813,15 @@ class GridSimulator:
             for job in jobs:
                 mw.submit(job, on_start, via, task)
             return jobs
-        now = self.sim.now
-        faults = self.config.faults
+        now = self.sim._now
         tr = self._tr
+        self.jobs_submitted += len(jobs)
         live: list[Job] = []
-        if faults.p_lost == 0.0 and faults.p_stuck == 0.0:
-            # fault-free grid: no uniforms to consume (private stream,
-            # nothing downstream can observe the skipped draws)
-            self.jobs_submitted += len(jobs)
-            for job in jobs:
-                job.submit_time = now
-                if tr is not None and task is not None:
-                    tr.submit(task, job)
-                if on_start is not None:
-                    job.on_start = on_start
-                live.append(job)
-        else:
-            uniforms = self._fault_uniforms
-            for job in jobs:
-                job.submit_time = now
-                self.jobs_submitted += 1
-                if tr is not None and task is not None:
-                    tr.submit(task, job)
-                if len(uniforms) < 2:
-                    uniforms.extend(self._fault_rng.random(256).tolist())
-                if uniforms.popleft() < faults.p_lost:
-                    job.state = JobState.LOST
-                    self.jobs_lost += 1
-                    if tr is not None:
-                        tr.fail(job, "lost")
-                    continue
-                if uniforms.popleft() < faults.p_stuck:
-                    job.state = JobState.STUCK
-                    self.jobs_stuck += 1
-                    if tr is not None:
-                        tr.fail(job, "stuck")
-                    continue
-                if on_start is not None:
-                    job.on_start = on_start
+        for job in jobs:
+            job.submit_time = now
+            if tr is not None and task is not None:
+                tr.submit(task, job)
+            if self._accept(job, on_start):
                 live.append(job)
         if live:
             broker = self.broker_for(via)
@@ -915,16 +855,20 @@ class GridSimulator:
             )
         return brokers[via]
 
-    def _submit_plain(self, job: Job, on_start, broker) -> None:
-        """The accept tail shared with the middleware fault domain.
+    def _accept(self, job: Job, on_start) -> bool:
+        """The middleware fault channels every accepted submission crosses.
 
-        Same fault-uniform consumption as :meth:`submit` /
-        :meth:`submit_many` (they stay inlined for the calm-grid hot
-        path) — a middleware-domain attempt that reaches the broker
-        draws exactly the channels a plain submission would.
+        :meth:`submit`, :meth:`submit_many` and the middleware fault
+        domain's clean accepts all come through here, so each accepted
+        job draws the same channels in the same order.  A job is LOST
+        with ``p_lost``, else STUCK with ``p_stuck`` (the second uniform
+        is drawn only when the first channel spared it); the uniforms
+        come in blocks from the private ``_fault_rng`` stream, which
+        fault-free grids never touch.  Returns whether the job goes on
+        to a broker, with ``on_start`` attached: a watcher on a lost or
+        stuck job would never fire and only pins a job→task cycle.
         """
         faults = self.config.faults
-        tr = self._tr
         if faults.p_lost != 0.0 or faults.p_stuck != 0.0:
             uniforms = self._fault_uniforms
             if len(uniforms) < 2:
@@ -932,18 +876,20 @@ class GridSimulator:
             if uniforms.popleft() < faults.p_lost:
                 job.state = JobState.LOST
                 self.jobs_lost += 1
-                if tr is not None:
-                    tr.fail(job, "lost")
-                return
+                if self._tr is not None:
+                    self._tr.fail(job, "lost")
+                return False
             if uniforms.popleft() < faults.p_stuck:
+                # a mis-configured queue the job never leaves: matching
+                # that never dispatches
                 job.state = JobState.STUCK
                 self.jobs_stuck += 1
-                if tr is not None:
-                    tr.fail(job, "stuck")
-                return
+                if self._tr is not None:
+                    self._tr.fail(job, "stuck")
+                return False
         if on_start is not None:
             job.on_start = on_start
-        broker.submit(job)
+        return True
 
     def enable_task_ledger(self) -> list:
         """Start recording every client ``(task, job)`` pair.

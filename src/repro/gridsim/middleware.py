@@ -285,10 +285,11 @@ class MiddlewareDomain:
             else:
                 self._failed(job, on_start, via, task, idx, attempt)
             return
-        # clean accept: the historical fault channels + dispatch
+        # clean accept: the grid's fault channels + dispatch
         if self.breakers:
             self.breakers[idx].record_success()
-        grid._submit_plain(job, on_start, broker)
+        if grid._accept(job, on_start):
+            broker.submit(job)
 
     # -- failure handling ------------------------------------------------
 
@@ -352,7 +353,8 @@ class MiddlewareDomain:
         grid = self.grid
         policy = self.retry
         if policy is None or task is None:
-            grid._submit_plain(job, on_start, broker)
+            if grid._accept(job, on_start):
+                broker.submit(job)
             return
         if self.breakers:
             # the client observed a failure, whatever actually happened
@@ -362,7 +364,8 @@ class MiddlewareDomain:
         tr = grid._tr
         if tr is not None:
             tr.dup(job)
-        grid._submit_plain(job, on_start, broker)
+        if grid._accept(job, on_start):
+            broker.submit(job)
         retry_job = Job(runtime=job.runtime, tag=job.tag, vo=job.vo)
         task.jobs_used += 1
         task.active_jobs.append(retry_job)

@@ -9,7 +9,6 @@ brokers dispatch on views the fleet load itself is ageing.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -23,13 +22,6 @@ from repro.util.rng import RngLike, as_rng, spawn_rngs
 from repro.util.validation import check_positive
 
 __all__ = ["FleetOutcome", "PopulationResult", "run_population"]
-
-#: run_population engines — "soa" is the struct-of-arrays pool
-#: (:mod:`repro.population.soa`), "legacy" the per-task TaskCore oracle,
-#: "auto" picks the pool whenever :func:`~repro.population.soa.pool_supported`
-#: says it is law-identical on this grid
-_ENGINES = ("auto", "soa", "legacy")
-
 
 @dataclass(frozen=True)
 class FleetOutcome:
@@ -131,30 +123,6 @@ def _call(launcher) -> None:
     launcher()
 
 
-def _resolve_engine(engine: str | None, grid: GridSimulator, spec) -> str:
-    """Pick the execution engine (see :func:`run_population`)."""
-    if engine is None:
-        engine = os.environ.get("REPRO_POPULATION_ENGINE", "auto")
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown population engine {engine!r}; "
-            f"available: {', '.join(_ENGINES)}"
-        )
-    if engine == "legacy":
-        return "legacy"
-    supported = pool_supported(grid, spec.fleets)
-    if engine == "soa":
-        if not supported:
-            raise ValueError(
-                "engine='soa' needs a calm grid (no middleware fault "
-                "domain, resubmission agent, tracing or task ledger) and "
-                "the three paper strategies; use engine='auto' to fall "
-                "back to the legacy driver automatically"
-            )
-        return "soa"
-    return "soa" if supported else "legacy"
-
-
 def _assemble_result(
     grid: GridSimulator,
     outcomes: list[FleetOutcome],
@@ -191,7 +159,6 @@ def run_population(
     *,
     seed: RngLike = 0,
     horizon_slack: float = 100_000.0,
-    engine: str | None = None,
 ) -> PopulationResult:
     """Run every fleet of ``spec`` concurrently on ``grid``.
 
@@ -215,17 +182,19 @@ def run_population(
         Extra virtual time after the window for stragglers to finish.
         The run is event-driven: the last task's completion stops the
         simulator at that exact instant.
-    engine:
-        ``"soa"`` runs the struct-of-arrays task pool
-        (:mod:`repro.population.soa`), ``"legacy"`` the per-task
-        TaskCore oracle, ``"auto"`` (default, or
-        ``REPRO_POPULATION_ENGINE``) the pool whenever it is
-        law-identical on this grid — both produce bit-for-bit the same
-        result wherever the pool engages, pinned by
-        ``tests/test_population_soa.py``.
+
+    The grid picks the driver: the struct-of-arrays task pool
+    (:mod:`repro.population.soa`) whenever
+    :func:`~repro.population.soa.pool_supported` holds, the per-task
+    TaskCore driver on grids with a middleware fault domain,
+    resubmission agent, tracing or task ledger.  Where both can run they
+    give bit-for-bit the same result (``tests/test_population_soa.py``).
     """
     check_positive("horizon_slack", horizon_slack)
-    resolved = _resolve_engine(engine, grid, spec)
+    for fleet in spec.fleets:
+        if fleet.broker is not None:
+            # an unknown home broker fails here, not mid-run
+            grid.broker_for(fleet.broker)
     rngs = spawn_rngs(as_rng(seed), len(spec.fleets))
     start = grid.now
     lost_before, stuck_before = grid.jobs_lost, grid.jobs_stuck
@@ -256,7 +225,7 @@ def run_population(
             dispatched_before=dispatched_before,
         )
 
-    if resolved == "soa":
+    if pool_supported(grid):
         pool = TaskPool(
             grid,
             spec.fleets,

@@ -56,8 +56,8 @@ are computed once in the parent, and message application orders by
 (boundary, source shard, generation order).  Changing ``shards``
 changes the partition and therefore the law, like changing any other
 engine constant.  ``shards=1`` degenerates to a single warmed grid and
-:func:`~repro.population.driver.run_population` — law-identical to the
-legacy driver wherever the SoA pool is (pinned by the oracle suite).
+:func:`~repro.population.driver.run_population`, which picks its driver
+from that grid (the SoA pool on every config ``shards > 1`` accepts).
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-)
 from repro.gridsim.client import _bump_job_ids_past
 from repro.gridsim.grid import GridConfig, warmed_grid, warmed_snapshot
 from repro.gridsim.jobs import Job, JobState
@@ -90,8 +85,6 @@ from repro.util.rng import as_rng, spawn_rngs
 from repro.util.validation import check_positive
 
 __all__ = ["ShardBroker", "run_population_sharded", "shard_configs"]
-
-_SUPPORTED = (SingleResubmission, MultipleSubmission, DelayedResubmission)
 
 #: what a pipe raises once the worker at its other end is gone
 _PIPE_GONE = (EOFError, BrokenPipeError, ConnectionResetError)
@@ -505,11 +498,6 @@ def _check_shardable(config: GridConfig, spec: PopulationSpec) -> None:
             raise ValueError(
                 f"fleet {f.label!r} pins a broker; sharded runs own one "
                 "broker per shard (fleet.broker must be None)"
-            )
-        if not isinstance(f.strategy, _SUPPORTED):
-            raise ValueError(
-                f"fleet {f.label!r} uses {type(f.strategy).__name__}, "
-                "which the struct-of-arrays pool does not support"
             )
 
 

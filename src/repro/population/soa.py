@@ -1,8 +1,9 @@
 """Struct-of-arrays population runtime: fleets as index ranges, no objects.
 
-The legacy population driver allocates one :class:`~repro.gridsim.client.TaskCore`
-per task — at 10⁵ tasks that is 10⁵ slotted objects, 10⁵ bound-method
-watchers, and a few 10⁵ pooled timers armed and cancelled one at a time.
+The per-task population driver allocates one
+:class:`~repro.gridsim.client.TaskCore` per task — at 10⁵ tasks that is
+10⁵ slotted objects, 10⁵ bound-method watchers, and a few 10⁵ pooled
+timers armed and cancelled one at a time.
 :class:`TaskPool` replaces all of it with one numpy record pool: task
 state, launch/finish instants, completion order and jobs-used live in
 flat columns, fleets are contiguous index ranges, the per-task start
@@ -11,14 +12,17 @@ through a pool-owned wheel that arms **one** kernel timer per bucket
 boundary and walks its due index block at fire time (dead entries are
 skipped by a state check instead of being cancelled individually).
 
-The pool is a *law-identical* replacement for the TaskCore path on the
-grids fleet runs actually use — calm middleware (no retry/fault domain,
-no resubmission agent, no tracing, no task ledger; see
-:func:`pool_supported`).  Every grid interaction happens in exactly the
-order the legacy executors performed it (same Job mint order, same
-fault-channel draws, same broker round-robin, same cancel batches), so
-a pool run reproduces the legacy driver bit-for-bit on all four
-site×WMS engine corners; ``tests/test_population_soa.py`` pins that.
+The pool is a *law-identical* replacement for the TaskCore path on
+grids without the per-task subsystems (no middleware fault domain, no
+resubmission agent, no tracing, no task ledger; see
+:func:`pool_supported`).  It has no submission path of its own: copies
+enter through ``grid.submit``/``grid.submit_many`` like every other
+client, so the fault-channel draws and the broker round-robin are the
+grid's, and every grid interaction happens in the order the TaskCore
+executors perform it (same Job mint order, same cancel batches).  A
+pool run therefore reproduces the TaskCore driver bit-for-bit on all
+four site×WMS engine corners; ``tests/test_population_soa.py`` pins
+that.
 
 Sharded runs (:mod:`repro.population.shard`) reuse the pool unchanged:
 the worker passes an ``ops`` adapter that reroutes cancellations and
@@ -32,11 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.strategies import (
-    DelayedResubmission,
-    MultipleSubmission,
-    SingleResubmission,
-)
+from repro.core.strategies import MultipleSubmission, SingleResubmission
 from repro.gridsim.jobs import Job
 
 __all__ = ["TaskPool", "pool_supported"]
@@ -54,29 +54,21 @@ _EXP_DCANCEL = 2  # delayed t_inf: cancel one aged copy, task keeps going
 _EXP_DSUBMIT = 3  # delayed t0: submit the next staggered copy
 
 
-def pool_supported(grid, fleets) -> bool:
-    """Whether the SoA pool reproduces the legacy path on this run.
+def pool_supported(grid) -> bool:
+    """Whether the SoA pool can host a population on ``grid``.
 
-    The pool bypasses the per-task object surface the optional
-    subsystems hook into (middleware retry sagas, the resubmission
-    agent's watch list, trace task ids, the chaos ledger), so it only
-    engages when all of them are off — which is every fleet-scale
-    benchmark configuration.  Anything else falls back to the legacy
-    TaskCore driver, which remains the behavioural oracle.
+    The pool has no per-task objects for the optional subsystems to hook
+    into (middleware retry sagas, the resubmission agent's watch list,
+    trace task ids, the chaos ledger), so it runs only when all of them
+    are off.  :func:`~repro.population.driver.run_population` runs the
+    per-task TaskCore driver otherwise.  Every strategy a
+    :class:`~repro.population.spec.FleetSpec` accepts runs on both.
     """
-    if (
-        grid._mw is not None
-        or grid._agent is not None
-        or grid._tr is not None
-        or grid.task_ledger is not None
-    ):
-        return False
-    return all(
-        isinstance(
-            f.strategy,
-            (SingleResubmission, MultipleSubmission, DelayedResubmission),
-        )
-        for f in fleets
+    return (
+        grid._mw is None
+        and grid._agent is None
+        and grid._tr is None
+        and grid.task_ledger is None
     )
 
 
@@ -93,7 +85,7 @@ class TaskPool:
     launch_times:
         Per-fleet launch instants relative to ``start`` (the arrays
         :meth:`PopulationSpec.launch_times` synthesises).  The pool
-        merges them into one sorted schedule exactly like the legacy
+        merges them into one sorted schedule exactly like the TaskCore
         driver (fleet-major stable sort), walked by
         :meth:`~repro.gridsim.events.Simulator.fire_schedule`.
     start:
@@ -107,6 +99,7 @@ class TaskPool:
         ``cancel_many``, ``report_failed``).  Defaults to the grid
         itself; shard workers pass an adapter that routes copies
         shipped to remote shards through the message fabric.
+        Submissions always go to ``grid.submit``/``grid.submit_many``.
     """
 
     __slots__ = (
@@ -114,8 +107,8 @@ class TaskPool:
         "state", "t_start", "done_t", "done_seq", "jobs_used",
         "_live", "_cb", "_seq", "pending", "on_all_done",
         "_kind", "_t_inf", "_t0", "_b", "_runtime", "_vo",
-        "_fleet_broker", "_rr_broker", "_via",
-        "_cancel", "_cancel_many", "_rf", "_calm",
+        "_via", "_submit", "_submit_many",
+        "_cancel", "_cancel_many", "_report_failed",
         "_pooled", "_wheel",
         "_sorted_t", "_sorted_i", "_cursor",
     )
@@ -159,14 +152,10 @@ class TaskPool:
                 self._kind.append(_MULTIPLE)
                 self._t0.append(0.0)
                 self._b.append(int(s.b))
-            elif isinstance(s, DelayedResubmission):
+            else:  # DelayedResubmission (FleetSpec admits no other)
                 self._kind.append(_DELAYED)
                 self._t0.append(float(s.t0))
                 self._b.append(1)
-            else:
-                raise TypeError(
-                    f"unsupported strategy type {type(s).__name__}"
-                )
             self._t_inf.append(float(s.t_inf))
             self._runtime.append(float(f.runtime))
             self._vo.append(f.vo)
@@ -182,7 +171,7 @@ class TaskPool:
         self.t_start = [0.0] * n
         self.done_t = [0.0] * n
         #: global completion counter per task — per-fleet results are
-        #: read back in completion order, like the legacy sink appends
+        #: read back in completion order, like the TaskCore sink appends
         self.done_seq = [0] * n
         self.jobs_used = [0] * n
         self.fid = np.repeat(
@@ -199,32 +188,11 @@ class TaskPool:
         # -- grid surface -------------------------------------------------
         if ops is None:
             ops = grid
+        self._submit = grid.submit
+        self._submit_many = grid.submit_many
         self._cancel = ops.cancel
         self._cancel_many = ops.cancel_many
-        # legacy timeouts always call grid.report_failed, which is a
-        # no-op without a health machine — skip the call entirely then
-        # (shard adapters must always see it: they filter remote copies)
-        self._rf = (
-            ops.report_failed
-            if (ops is not grid or grid._health is not None)
-            else None
-        )
-        faults = grid.config.faults
-        self._calm = faults.p_lost == 0.0 and faults.p_stuck == 0.0
-        # fixed broker per fleet where resolution is stateless; None
-        # means the round-robin default, resolved per submission like
-        # the legacy path (grid.broker_for(None) mutates the cursor)
-        brokers = grid.brokers
-        fleet_broker = []
-        for f in self.fleets:
-            if f.broker is not None:
-                fleet_broker.append(grid.broker_for(f.broker))
-            elif len(brokers) == 1:
-                fleet_broker.append(brokers[0])
-            else:
-                fleet_broker.append(None)
-        self._fleet_broker = fleet_broker
-        self._rr_broker = grid.broker_for
+        self._report_failed = ops.report_failed
 
         # -- pool timer wheel --------------------------------------------
         #: batched engine: one kernel timer per boundary fires a whole
@@ -264,7 +232,7 @@ class TaskPool:
             job = Job(runtime=self._runtime[f], tag="task", vo=self._vo[f])
             self.jobs_used[i] = 1
             self._live[i] = job
-            self._submit1(f, job, cb)
+            self._submit(job, cb, via=self._via[f])
             self._arm(self._t_inf[f], _EXP_SINGLE, i, None)
         elif k == _MULTIPLE:
             self._round_multiple(i, f)
@@ -283,49 +251,16 @@ class TaskPool:
         ]
         self.jobs_used[i] += len(batch)
         self._live[i] = batch
-        self._submit_many(f, batch, self._cb[i])
+        self._submit_many(batch, self._cb[i], via=self._via[f])
         self._arm(self._t_inf[f], _EXP_MULTIPLE, i, None)
 
     def _round_delayed(self, i: int, f: int) -> None:
         job = Job(runtime=self._runtime[f], tag="task", vo=self._vo[f])
         self.jobs_used[i] += 1
         self._live[i].append(job)
-        self._submit1(f, job, self._cb[i])
+        self._submit(job, self._cb[i], via=self._via[f])
         self._arm(self._t_inf[f], _EXP_DCANCEL, i, job)
         self._arm(self._t0[f], _EXP_DSUBMIT, i, None)
-
-    # -- submission fast path --------------------------------------------
-
-    def _submit1(self, f: int, job: Job, cb) -> None:
-        grid = self.grid
-        if not self._calm:
-            grid.submit(job, cb, via=self._via[f])
-            return
-        # inlined calm-grid tail of GridSimulator.submit: no middleware,
-        # no tracing, no fault channels (gated by pool_supported/_calm)
-        broker = self._fleet_broker[f]
-        if broker is None:
-            broker = self._rr_broker(None)
-        job.submit_time = self._sim._now
-        grid.jobs_submitted += 1
-        job.on_start = cb
-        broker.submit(job)
-
-    def _submit_many(self, f: int, jobs: list, cb) -> None:
-        grid = self.grid
-        if not self._calm:
-            grid.submit_many(jobs, cb, via=self._via[f])
-            return
-        now = self._sim._now
-        for job in jobs:
-            job.submit_time = now
-            job.on_start = cb
-        grid.jobs_submitted += len(jobs)
-        broker = self._fleet_broker[f]
-        if broker is None:
-            # legacy submit_many advances the round-robin once per burst
-            broker = self._rr_broker(None)
-        broker.submit_many(jobs)
 
     # -- timeout wheel ----------------------------------------------------
 
@@ -361,26 +296,22 @@ class TaskPool:
 
     def _expire(self, code: int, i: int, payload) -> None:
         f = self.fid[i]
-        rf = self._rf
         if code == _EXP_SINGLE:
             job = self._live[i]
-            if rf is not None:
-                rf([job])
+            self._report_failed([job])
             self._cancel(job)
             job = Job(runtime=self._runtime[f], tag="task", vo=self._vo[f])
             self.jobs_used[i] += 1
             self._live[i] = job
-            self._submit1(f, job, self._cb[i])
+            self._submit(job, self._cb[i], via=self._via[f])
             self._arm(self._t_inf[f], _EXP_SINGLE, i, None)
         elif code == _EXP_MULTIPLE:
             batch = self._live[i]
-            if rf is not None:
-                rf(batch)
+            self._report_failed(batch)
             self._cancel_many(batch)
             self._round_multiple(i, f)
         elif code == _EXP_DCANCEL:
-            if rf is not None:
-                rf([payload])
+            self._report_failed([payload])
             self._cancel(payload)
             # unlike TaskCore.active_jobs, the live list stays tight:
             # cancelled copies leave it (grid.cancel_many skips them
@@ -432,7 +363,7 @@ class TaskPool:
         """``(j, jobs_used)`` of fleet ``f``'s finished tasks.
 
         Ordered by completion instant (the ``done_seq`` counter), which
-        is exactly the order the legacy driver's per-fleet sink appended
+        is exactly the order the TaskCore driver's per-fleet sink appended
         in — so the arrays compare bit-for-bit against the oracle.
         """
         sl = slice(int(self.offsets[f]), int(self.offsets[f + 1]))

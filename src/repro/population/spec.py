@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.strategies import Strategy
+from repro.core.strategies import (
+    DelayedResubmission,
+    MultipleSubmission,
+    SingleResubmission,
+    Strategy,
+)
 from repro.traces.generator import DiurnalProfile
 from repro.util.validation import check_positive
 
@@ -24,6 +29,9 @@ __all__ = ["FleetSpec", "PopulationSpec", "adoption_population"]
 
 #: resolution of the inverse-CDF grid for diurnal launch sampling
 _CDF_GRID = 2048
+
+#: the paper strategies both population drivers run
+_FLEET_STRATEGIES = (SingleResubmission, MultipleSubmission, DelayedResubmission)
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,12 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if not self.vo:
             raise ValueError("fleet vo must be non-empty")
+        if not isinstance(self.strategy, _FLEET_STRATEGIES):
+            raise TypeError(
+                f"fleet strategy must be one of "
+                f"{', '.join(c.__name__ for c in _FLEET_STRATEGIES)}, "
+                f"got {type(self.strategy).__name__}"
+            )
         if self.n_tasks < 0:
             # zero is allowed: sweeps that carve adopters out of a VO's
             # volume can leave an empty fleet, which simply contributes

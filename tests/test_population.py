@@ -10,11 +10,20 @@ from repro.core.strategies import (
     MultipleSubmission,
     SingleResubmission,
 )
+from types import SimpleNamespace
+
 from repro.gridsim import (
     BrokerConfig,
     FaultModel,
     GridConfig,
+    HealthConfig,
+    ResubmitConfig,
+    RetryPolicy,
     SiteConfig,
+    StormConfig,
+    SubmitFaultConfig,
+    WeatherConfig,
+    audit_conservation,
     warmed_snapshot,
 )
 from repro.population import (
@@ -77,6 +86,17 @@ class TestSpecs:
         assert FleetSpec("v", SingleResubmission(t_inf=100.0), 0).n_tasks == 0
         with pytest.raises(ValueError, match="runtime"):
             FleetSpec("v", SingleResubmission(t_inf=100.0), 1, runtime=-1.0)
+
+    def test_fleet_rejects_non_paper_strategy(self):
+        """Only the three paper strategies run on a population driver;
+        anything else fails at the spec, before any grid advances."""
+        duck = SimpleNamespace(t_inf=100.0)
+        with pytest.raises(
+            TypeError,
+            match="SingleResubmission, MultipleSubmission, DelayedResubmission"
+            ", got SimpleNamespace",
+        ):
+            FleetSpec("v", duck, 5)
 
     def test_population_validation(self):
         # an empty fleet tuple is legal (run_population returns an
@@ -247,3 +267,94 @@ class TestDriver:
             run_population(
                 grid, small_population(), seed=1, horizon_slack=-1.0
             )
+
+    @pytest.mark.parametrize("ledger", [False, True])
+    def test_unknown_home_broker_fails_before_the_run(self, ledger):
+        """Pool and TaskCore driver alike reject an unknown home broker
+        before the grid advances."""
+        grid = warmed_snapshot(
+            small_grid_config(), seed=3, duration=3600.0
+        ).restore()
+        if ledger:
+            grid.enable_task_ledger()
+        spec = PopulationSpec(
+            fleets=(
+                FleetSpec(
+                    "alpha", SingleResubmission(t_inf=4000.0), 10, broker="w9"
+                ),
+            ),
+            window=3600.0,
+        )
+        before = grid.now
+        with pytest.raises(ValueError, match="unknown broker 'w9'"):
+            run_population(grid, spec, seed=1)
+        assert grid.now == before
+
+
+CORNERS = [
+    ("vector", "batched"),
+    ("vector", "event"),
+    ("event", "batched"),
+    ("event", "event"),
+]
+
+
+class TestPopulationAudit:
+    """The conservation auditor on a population day's per-task driver."""
+
+    @staticmethod
+    def fault_day_config(site_engine: str, wms_engine: str) -> GridConfig:
+        """The fault-day benchmark's grid in miniature: two brokers,
+        lost/stuck jobs, submit faults under a retry policy, storms that
+        also down brokers, health and the resubmission agent."""
+        return small_grid_config(
+            sites=tuple(
+                SiteConfig(
+                    f"s{i}",
+                    24,
+                    utilization=0.7,
+                    runtime_median=1200.0,
+                    vo_shares=SHARES,
+                )
+                for i in range(4)
+            ),
+            brokers=(
+                BrokerConfig("w1", ("s0", "s1"), info_lag=600.0),
+                BrokerConfig("w2", ("s2", "s3"), info_lag=600.0),
+            ),
+            faults=FaultModel(p_lost=0.02, p_stuck=0.02),
+            submit_faults=SubmitFaultConfig(p_fail=0.05, p_landed=0.5),
+            retry=RetryPolicy(),
+            weather=WeatherConfig(
+                storm=StormConfig(
+                    mean_interval=3600.0,
+                    mean_duration=300.0,
+                    subset_size=2,
+                    broker_prob=0.5,
+                )
+            ),
+            health=HealthConfig(),
+            resubmit=ResubmitConfig(),
+            site_engine=site_engine,
+            wms_engine=wms_engine,
+        )
+
+    @pytest.mark.parametrize("site_engine,wms_engine", CORNERS)
+    def test_fault_day_conserves_every_task(self, site_engine, wms_engine):
+        config = self.fault_day_config(site_engine, wms_engine)
+        grid = warmed_snapshot(config, seed=3, duration=3600.0).restore()
+        grid.enable_task_ledger()
+        spec = small_population(150)
+        result = run_population(grid, spec, seed=5)
+        assert result.total_gave_up == 0  # every task settled
+        assert result.total_finished == spec.total_tasks
+        report = audit_conservation(grid)
+        assert report.ok, report.violations
+        assert report.tasks == spec.total_tasks
+        # the day exercised the channels it audits
+        assert result.jobs_lost > 0 and result.jobs_stuck > 0
+        weather = result.weather
+        assert sum(b["outages"] for b in weather["brokers"].values()) > 0
+        assert sum(b["rejects"] for b in weather["brokers"].values()) > 0
+        assert weather["duplicates"]["created"] > 0
+        assert weather["resubmit"]["resubmissions"] > 0

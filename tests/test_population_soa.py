@@ -2,16 +2,20 @@
 
 Two laws are pinned here:
 
-* the SoA pool (:mod:`repro.population.soa`) reproduces the legacy
-  per-task TaskCore driver **bit-for-bit** on every site x WMS engine
-  corner — same latencies, same jobs-per-task, same broker dispatch
-  counts, same fair-share usage shares;
+* the SoA pool (:mod:`repro.population.soa`) reproduces the per-task
+  TaskCore driver **bit-for-bit** on every site x WMS engine corner,
+  with one broker and with two — same latencies, same jobs-per-task,
+  same broker dispatch counts, same fair-share usage shares.  A task
+  ledger records but changes no law, and it makes ``run_population``
+  take the TaskCore driver, so a ledgered run is the oracle;
 * the sharded runtime (:mod:`repro.population.shard`) is deterministic
   for a fixed shard count, and its ``shards=1`` degenerate case is the
   single-process driver itself.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,7 +25,13 @@ from repro.core.strategies import (
     MultipleSubmission,
     SingleResubmission,
 )
-from repro.gridsim import FaultModel, GridConfig, SiteConfig, warmed_snapshot
+from repro.gridsim import (
+    BrokerConfig,
+    FaultModel,
+    GridConfig,
+    SiteConfig,
+    warmed_snapshot,
+)
 from repro.gridsim.grid import warmed_grid
 from repro.population import (
     FleetSpec,
@@ -42,7 +52,9 @@ CORNERS = [
 ]
 
 
-def corner_config(site_engine: str, wms_engine: str) -> GridConfig:
+def corner_config(
+    site_engine: str, wms_engine: str, *, brokers=()
+) -> GridConfig:
     sites = tuple(
         SiteConfig(
             name=f"s{i:02d}",
@@ -58,7 +70,15 @@ def corner_config(site_engine: str, wms_engine: str) -> GridConfig:
         faults=FaultModel(p_lost=0.01, p_stuck=0.01),
         site_engine=site_engine,
         wms_engine=wms_engine,
+        brokers=brokers,
     )
+
+
+#: two federated brokers splitting the four corner sites
+TWO_BROKERS = (
+    BrokerConfig("wms-a", ("s00", "s01"), info_lag=600.0),
+    BrokerConfig("wms-b", ("s02", "s03"), info_lag=600.0),
+)
 
 
 def mixed_spec(n: int = 240) -> PopulationSpec:
@@ -86,9 +106,46 @@ def mixed_spec(n: int = 240) -> PopulationSpec:
     )
 
 
-def run_engine(config: GridConfig, engine: str):
-    snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
-    return run_population(snap.restore(), mixed_spec(), seed=9, engine=engine)
+def federated_spec(n: int = 240) -> PopulationSpec:
+    """One fleet pinned by broker name, two on the round-robin default
+    (one of them bursting: ``submit_many`` advances the cursor once per
+    burst)."""
+    return PopulationSpec(
+        fleets=(
+            FleetSpec(
+                "biomed",
+                SingleResubmission(t_inf=4000.0),
+                n,
+                runtime=300.0,
+                broker="wms-b",
+            ),
+            FleetSpec(
+                "atlas",
+                MultipleSubmission(b=3, t_inf=4000.0),
+                (2 * n) // 3,
+                runtime=300.0,
+            ),
+            FleetSpec(
+                "cms",
+                DelayedResubmission(t0=3500.0, t_inf=6000.0),
+                (2 * n) // 3,
+                runtime=300.0,
+            ),
+        ),
+        window=20_000.0,
+        diurnal=DiurnalProfile(amplitude=0.4),
+    )
+
+
+def run_day(config: GridConfig, spec=None, *, oracle: bool = False):
+    """One population day; ``oracle`` turns the task ledger on first."""
+    grid = warmed_snapshot(config, seed=17, duration=2 * 3600.0).restore()
+    if oracle:
+        grid.enable_task_ledger()
+        assert not pool_supported(grid)
+    else:
+        assert pool_supported(grid)
+    return run_population(grid, spec or mixed_spec(), seed=9)
 
 
 def assert_identical(a, b) -> None:
@@ -109,41 +166,49 @@ class TestSoaOracleEquivalence:
     def test_soa_matches_legacy(self, site_engine, wms_engine):
         """Pool vs TaskCore oracle, bit-for-bit, on every engine corner."""
         config = corner_config(site_engine, wms_engine)
-        legacy = run_engine(config, "legacy")
-        soa = run_engine(config, "soa")
-        assert_identical(legacy, soa)
+        oracle = run_day(config, oracle=True)
+        soa = run_day(config)
+        assert_identical(oracle, soa)
         assert soa.total_finished > 0
 
-    def test_auto_picks_pool_on_calm_grids(self):
-        config = corner_config("vector", "batched")
-        assert_identical(run_engine(config, None), run_engine(config, "soa"))
+    @pytest.mark.parametrize("site_engine,wms_engine", CORNERS)
+    def test_soa_matches_legacy_two_brokers(self, site_engine, wms_engine):
+        """The pool resolves brokers through the grid: a pinned fleet and
+        the round-robin default land where the TaskCore driver's do."""
+        config = corner_config(site_engine, wms_engine, brokers=TWO_BROKERS)
+        oracle = run_day(config, federated_spec(), oracle=True)
+        soa = run_day(config, federated_spec())
+        assert_identical(oracle, soa)
+        assert soa.total_finished > 0
+        assert min(soa.broker_dispatches) > 0
+        assert soa.jobs_lost > 0 and soa.jobs_stuck > 0
 
-    def test_auto_falls_back_when_unsupported(self):
-        """Tracing hooks the per-task surface: auto must go legacy."""
-        config = corner_config("vector", "batched")
-        config = GridConfig(
-            sites=config.sites,
-            faults=config.faults,
-            site_engine=config.site_engine,
-            wms_engine=config.wms_engine,
-            tracing=True,
-        )
-        snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
-        assert not pool_supported(snap.restore(), mixed_spec().fleets)
-        with pytest.raises(ValueError, match="engine='soa'"):
-            run_population(
-                snap.restore(), mixed_spec(), seed=9, engine="soa"
-            )
-        result = run_population(snap.restore(), mixed_spec(), seed=9)
+    def test_auto_picks_pool_on_calm_grids(self, monkeypatch):
+        """Without the per-task subsystems the pool runs every task."""
+        from repro.population import driver
+
+        def no_task_core(*args, **kwargs):
+            raise AssertionError("the TaskCore driver ran on a pool grid")
+
+        monkeypatch.setattr(driver, "launch_task", no_task_core)
+        result = run_day(corner_config("vector", "batched"))
         assert result.total_finished > 0
 
-    def test_unknown_engine_rejected(self):
-        config = corner_config("vector", "batched")
-        snap = warmed_snapshot(config, seed=17, duration=2 * 3600.0)
-        with pytest.raises(ValueError, match="unknown population engine"):
-            run_population(
-                snap.restore(), mixed_spec(), seed=9, engine="turbo"
-            )
+    def test_auto_falls_back_when_unsupported(self, monkeypatch):
+        """Tracing hooks the per-task surface: the TaskCore driver runs."""
+        from repro.population import driver
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool ran on a traced grid")
+
+        monkeypatch.setattr(driver, "TaskPool", no_pool)
+        config = dataclasses.replace(
+            corner_config("vector", "batched"), tracing=True
+        )
+        grid = warmed_snapshot(config, seed=17, duration=2 * 3600.0).restore()
+        assert not pool_supported(grid)
+        result = run_population(grid, mixed_spec(), seed=9)
+        assert result.total_finished > 0
 
 
 class TestEmptyPopulations:
